@@ -366,6 +366,11 @@ def predict_logits(
     values may differ from the unbucketed path by float summation-order
     noise (≤ a few ulp) because padded widths change BLAS reduction
     trees.
+
+    Leaves ``module`` in eval mode; :func:`train_classifier` switches it
+    back at the start of every epoch. Switching back here would turn
+    dropout on under a forward pass that another serving thread is
+    running on the same module.
     """
     module.eval()
     n = len(encoded)
@@ -385,7 +390,6 @@ def predict_logits(
                     out = np.empty((n, logits.shape[-1]), dtype=logits.dtype)
                 out[idx] = logits
         perf.count("nn.predict.batches", len(batch_indices))
-    module.train()
     if out is None:
         return np.zeros((0, 1))
     return out

@@ -12,8 +12,6 @@ from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 
-NEG_INF = -1e9
-
 
 def split_heads(x: Tensor, num_heads: int) -> Tensor:
     """(B, T, D) → (B, h, T, D/h)."""
@@ -30,7 +28,8 @@ def merge_heads(x: Tensor) -> Tensor:
 
 
 def attention_mask_bias(mask: np.ndarray) -> np.ndarray:
-    """(B, T) keep-mask → (B, 1, 1, T) boolean *pad* mask for masked_fill."""
+    """(B, T) keep-mask → (B, 1, 1, T) boolean *pad* mask for
+    :meth:`Tensor.softmax`."""
     mask = np.asarray(mask)
     return (mask == 0)[:, None, None, :]
 
@@ -74,10 +73,9 @@ class MultiHeadAttention(Module):
         q = split_heads(self.w_q(query), self.num_heads)
         k = split_heads(self.w_k(key), self.num_heads)
         v = split_heads(self.w_v(value), self.num_heads)
-        scores = (q @ k.swapaxes(-1, -2)) * self._scale
-        if mask is not None:
-            scores = scores.masked_fill(attention_mask_bias(mask), NEG_INF)
-        weights = self.dropout(scores.softmax(axis=-1))
+        scores = q @ k.swapaxes(-1, -2)
+        pad = None if mask is None else attention_mask_bias(mask)
+        weights = self.dropout(scores.softmax(axis=-1, scale=self._scale, pad=pad))
         context = weights @ v
         return self.w_o(merge_heads(context))
 
@@ -116,9 +114,8 @@ class TemporalDecayAttention(Module):
         log_delta = Tensor(np.log1p(delta)[:, None, :, :])  # (B, 1, T, T)
         rates = self.decay.reshape(1, self.num_heads, 1, 1)
         scores = scores - rates * log_delta
-        if mask is not None:
-            scores = scores.masked_fill(attention_mask_bias(mask), NEG_INF)
-        weights = inner.dropout(scores.softmax(axis=-1))
+        pad = None if mask is None else attention_mask_bias(mask)
+        weights = inner.dropout(scores.softmax(axis=-1, pad=pad))
         return inner.w_o(merge_heads(weights @ v))
 
 
@@ -135,17 +132,23 @@ def relative_position_index(length: int, max_distance: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _gather_indices(length: int, max_distance: int) -> tuple[np.ndarray, np.ndarray]:
-    """Memoised ``(rows, index)`` gather pair for disentangled attention.
+    """Memoised flat ``(c2p, p2c)`` gather indices for disentangled attention.
 
-    Serving runs the same sequence lengths over and over; rebuilding the
-    (T, T) bucket matrix and row arange per forward is pure waste. The
-    arrays are marked read-only because they are shared across calls.
+    Both are (T, T) indices into the last axis of a (B, h, T·K) score
+    tensor, K = 2·max_distance + 1 buckets: ``c2p[i, j] = i·K + δ(i, j)``
+    and ``p2c[i, j] = j·K + δ(j, i)``, i.e. ``c2p`` transposed and stored
+    contiguously, so both gathers yield C-contiguous (B, h, T, T) scores.
+    Serving runs the same sequence lengths over and over; the arrays are
+    read-only because they are shared across calls.
     """
-    idx = relative_position_index(length, max_distance)
-    rows = np.arange(length)[:, None]
-    idx.setflags(write=False)
-    rows.setflags(write=False)
-    return rows, idx
+    buckets = 2 * max_distance + 1
+    c2p = np.arange(length)[:, None] * buckets + relative_position_index(
+        length, max_distance
+    )
+    p2c = np.ascontiguousarray(c2p.T)
+    c2p.setflags(write=False)
+    p2c.setflags(write=False)
+    return c2p, p2c
 
 
 class DisentangledSelfAttention(Module):
@@ -201,20 +204,18 @@ class DisentangledSelfAttention(Module):
         kr = kr.reshape(buckets, self.num_heads, self.head_dim).transpose(1, 0, 2)
         qr = qr.reshape(buckets, self.num_heads, self.head_dim).transpose(1, 0, 2)
 
-        rows, idx = _gather_indices(steps, self.max_relative_distance)
+        c2p_idx, p2c_idx = _gather_indices(steps, self.max_relative_distance)
+        flat = (batch, self.num_heads, steps * buckets)
 
         c2c = qc @ kc.swapaxes(-1, -2)  # (B,h,T,T)
         # content→position: Qc_i · Kr_{δ(i,j)}
-        c2p_all = qc @ kr.swapaxes(-1, -2)  # (B,h,T,buckets)
-        c2p = c2p_all[:, :, rows, idx]  # (B,h,T,T)
+        c2p = (qc @ kr.swapaxes(-1, -2)).reshape(flat).take(c2p_idx, axis=-1)
         # position→content: Kc_j · Qr_{δ(j,i)} with δ(j,i) = clip(i−j)+R,
-        # i.e. bucket idx[j, i]; gather per j then transpose to [b,h,i,j].
-        p2c_all = kc @ qr.swapaxes(-1, -2)  # (B,h,T,buckets)
-        p2c_j = p2c_all[:, :, rows, idx]  # p2c_j[b,h,j,i]
-        p2c = p2c_j.swapaxes(-1, -2)
+        # gathered straight into [b,h,i,j] order.
+        p2c = (kc @ qr.swapaxes(-1, -2)).reshape(flat).take(p2c_idx, axis=-1)
 
-        scores = (c2c + c2p + p2c) * self._scale
-        if mask is not None:
-            scores = scores.masked_fill(attention_mask_bias(mask), NEG_INF)
-        weights = self.dropout(scores.softmax(axis=-1))
+        pad = None if mask is None else attention_mask_bias(mask)
+        weights = self.dropout(
+            (c2c + c2p + p2c).softmax(axis=-1, scale=self._scale, pad=pad)
+        )
         return self.w_o(merge_heads(weights @ v))

@@ -52,7 +52,7 @@ class Embedding(Module):
         self.weight = Parameter(table)
 
     def forward(self, ids: np.ndarray) -> Tensor:
-        return self.weight.take_rows(np.asarray(ids, dtype=np.int64))
+        return self.weight.take(ids)
 
 
 class LayerNorm(Module):

@@ -104,6 +104,21 @@ def scatter_add_rows_reference(
     np.add.at(target, flat_idx, np.asarray(rows).reshape(-1, dim))
 
 
+# Logit given to padded positions by :meth:`Tensor.softmax`.
+NEG_INF = -1e9
+
+_GELU_SCALE = np.sqrt(2.0 / np.pi)
+_GELU_CUBIC = 0.044715
+
+
+def gelu_reference(x: np.ndarray) -> np.ndarray:
+    """Tanh-approximated GELU as first written, with ``x**3`` through
+    ``pow``: the oracle for :meth:`Tensor.gelu`."""
+    c = np.sqrt(2.0 / np.pi)
+    inner = c * (x + 0.044715 * x**3)
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
 def _is_basic_index(key) -> bool:
     """True when ``key`` is basic (non-fancy) indexing — no index position
     can repeat, so a gradient scatter may use ``+=`` instead of
@@ -417,17 +432,41 @@ class Tensor:
         return Tensor._make(self.data * mask, (self,), backward)
 
     def gelu(self) -> "Tensor":
-        """Tanh-approximated GELU (the BERT-family activation)."""
+        """Tanh-approximated GELU (the BERT-family activation).
+
+        Same formula as :func:`gelu_reference`, but ``x³`` is ``x*x*x``
+        instead of a ``pow`` call and every step after the first product
+        runs in place, which makes the op several times faster. Contract:
+        max |Δ| ≤ 1e-15 against the reference on [-20, 20].
+        """
         x = self.data
-        c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * x**3)
-        t = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + t)
+        t = x * x
+        t *= x
+        t *= _GELU_CUBIC
+        t += x
+        t *= _GELU_SCALE
+        np.tanh(t, out=t)
+        out_data = t + 1.0
+        out_data *= x
+        out_data *= 0.5
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                dt = (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
-                self._accumulate(grad * (0.5 * (1.0 + t) + 0.5 * x * dt))
+                # d/dx = 0.5(1 + t) + 0.5·x·(1 − t²)·c·(1 + 3a·x²)
+                d = t * t
+                np.subtract(1.0, d, out=d)
+                d *= _GELU_SCALE
+                s = x * x
+                s *= 3 * _GELU_CUBIC
+                s += 1.0
+                d *= s
+                d *= x
+                d *= 0.5
+                np.add(t, 1.0, out=s)
+                s *= 0.5
+                d += s
+                d *= grad
+                self._accumulate(d)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -573,16 +612,32 @@ class Tensor:
 
     # -- gather / embedding ------------------------------------------------------
 
-    def take_rows(self, indices: np.ndarray) -> "Tensor":
-        """Row gather (embedding lookup): ``out[..., :] = self[idx[...], :]``."""
+    def take(self, indices: np.ndarray, axis: int = 0) -> "Tensor":
+        """Gather along ``axis``: ``np.take(self.data, indices, axis)``.
+
+        Axis 0 is the embedding lookup. Fancy indexing of trailing axes
+        lays its result out with the index axes outermost in memory;
+        ``np.take`` output is always C-contiguous, so the ops that consume
+        it run at full speed. The backward scatters through
+        :func:`scatter_add_rows`; repeated indices accumulate in index
+        order, bitwise equal to ``np.add.at``.
+        """
         indices = np.asarray(indices, dtype=np.int64)
-        out_data = self.data[indices]
+        axis = axis % self.ndim
+        out_data = np.take(self.data, indices, axis=axis)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                full = np.zeros_like(self.data)
-                scatter_add_rows(full, indices, grad)
-                self._accumulate(full)
+                k = indices.ndim
+                # Index axes first, then the untouched axes in order.
+                rows = np.moveaxis(grad, range(axis, axis + k), range(k))
+                rest = rows.shape[k:]
+                full = np.zeros(
+                    (self.shape[axis], int(np.prod(rest))), dtype=self.data.dtype
+                )
+                scatter_add_rows(full, indices, rows)
+                full = full.reshape(self.shape[axis], *rest)
+                self._accumulate(np.moveaxis(full, 0, axis))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -602,26 +657,39 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        out_data = exp / exp.sum(axis=axis, keepdims=True)
+    def softmax(
+        self,
+        axis: int = -1,
+        *,
+        scale: float = 1.0,
+        pad: np.ndarray | None = None,
+    ) -> "Tensor":
+        """Softmax of ``self * scale`` with ``pad`` positions masked out.
+
+        ``pad`` is a boolean mask broadcastable to the input; its True
+        positions take the logit :data:`NEG_INF` after scaling, so they
+        get zero weight unless a whole row is padded. Scale, fill, shift,
+        ``exp`` and normalisation all run in one output buffer. Forward
+        and backward are bitwise equal to the unfused chain ``(x * scale)``
+        → fill → softmax.
+        """
+        out_data = np.multiply(self.data, scale)
+        if pad is not None:
+            pad = np.asarray(pad, dtype=bool)
+            np.copyto(out_data, NEG_INF, where=pad)
+        out_data -= out_data.max(axis=axis, keepdims=True)
+        np.exp(out_data, out=out_data)
+        out_data /= out_data.sum(axis=axis, keepdims=True)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                inner = (grad * out_data).sum(axis=axis, keepdims=True)
-                self._accumulate(out_data * (grad - inner))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def masked_fill(self, mask: np.ndarray, value: float) -> "Tensor":
-        """Replace entries where ``mask`` is True with ``value`` (no grad
-        flows through the filled entries)."""
-        mask = np.asarray(mask, dtype=bool)
-        out_data = np.where(mask, value, self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(np.where(mask, 0.0, grad))
+                g = grad * out_data
+                inner = g.sum(axis=axis, keepdims=True)
+                np.subtract(grad, inner, out=g)
+                g *= out_data
+                if pad is not None:
+                    np.copyto(g, 0.0, where=pad)  # filled logits are constants
+                g *= scale
+                self._accumulate(g)
 
         return Tensor._make(out_data, (self,), backward)

@@ -87,3 +87,33 @@ class TestPretrainMLM:
         encoder = TransformerEncoder(len(vocab.tokens()), 16, 1, 2, 8, rng)
         with pytest.raises(ValueError):
             pretrain_mlm(encoder, vocab, [], steps=1)
+
+
+@pytest.mark.parametrize("name", ["roberta", "deberta"])
+def test_fast_gelu_keeps_test_split_predictions(
+    name, small_splits, small_dataset, monkeypatch
+):
+    """Swapping the fast ``gelu`` for ``gelu_reference`` in a fitted PLM
+    leaves every test-split label and probability (to 1e-12) unchanged."""
+    from repro.models.deberta import DebertaRiskModel
+    from repro.models.neural_common import TrainerConfig
+    from repro.models.roberta import RobertaRiskModel
+    from repro.nn import Tensor
+    from repro.nn.tensor import gelu_reference
+
+    cls = {"roberta": RobertaRiskModel, "deberta": DebertaRiskModel}[name]
+    model = cls(
+        config=PLMConfig(dim=16, num_layers=2, num_heads=2, ffn_hidden=32,
+                         max_len=64),
+        trainer=TrainerConfig(epochs=1, batch_size=8, patience=2, seed=0),
+        pretrain_texts=small_dataset.pretrain_texts[:300],
+        pretrain_steps=2,
+        seed=0,
+    )
+    model.fit(small_splits.train, small_splits.validation)
+    windows = small_splits.test
+    fast = model.predict_proba(windows)
+    monkeypatch.setattr(Tensor, "gelu", lambda self: Tensor(gelu_reference(self.data)))
+    reference = model.predict_proba(windows)
+    np.testing.assert_array_equal(fast.argmax(axis=1), reference.argmax(axis=1))
+    assert np.abs(fast - reference).max() <= 1e-12

@@ -221,10 +221,10 @@ class TestShapeOps:
         assert np.allclose(x.grad[0], 2.0)
         assert np.allclose(x.grad[1], 0.0)
 
-    def test_take_rows_grad(self):
+    def test_take_grad(self):
         table = Tensor(RNG.normal(size=(10, 4)), requires_grad=True)
         ids = np.array([[1, 1], [3, 9]])
-        table.take_rows(ids).sum().backward()
+        table.take(ids).sum().backward()
         assert table.grad[1].sum() == pytest.approx(8.0)  # used twice
         assert table.grad[0].sum() == 0.0
 
@@ -245,15 +245,6 @@ class TestSoftmaxFamily:
     def test_softmax_stability(self):
         x = Tensor(np.array([[1000.0, 1000.0]]))
         assert np.allclose(x.softmax(axis=-1).data, 0.5)
-
-    def test_masked_fill(self):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
-        mask = np.array([[True, False], [False, False]])
-        out = x.masked_fill(mask, -9.0)
-        assert out.data[0, 0] == -9.0
-        out.sum().backward()
-        assert x.grad[0, 0] == 0.0
-        assert x.grad[1, 1] == 1.0
 
 
 class TestGraphSemantics:

@@ -279,3 +279,30 @@ def test_serve_counters_flow_through_perf(fitted_logreg, small_splits):
     assert total("serve.requests") == len(windows)
     assert total("serve.batches") >= 1
     assert any(path.endswith("serve.predict_many") for path in report)
+
+
+def test_threaded_workers_keep_dropout_off(small_splits, small_dataset):
+    """Two worker threads scoring one PLM with dropout must agree with
+    ``predict_proba`` bitwise: no thread may switch the module back to
+    train mode while another is mid-forward."""
+    from repro.models.deberta import DebertaRiskModel
+    from repro.models.neural_common import TrainerConfig
+    from repro.models.plm import PLMConfig
+
+    model = DebertaRiskModel(
+        config=PLMConfig(dim=16, num_layers=1, num_heads=2, ffn_hidden=32,
+                         max_len=64, dropout=0.1),
+        trainer=TrainerConfig(epochs=1, batch_size=8, patience=2, seed=0),
+        pretrain_texts=small_dataset.pretrain_texts[:300],
+        pretrain_steps=2,
+        seed=0,
+    )
+    model.fit(small_splits.train, small_splits.validation)
+    windows = small_splits.train[:32]
+    direct = model.predict_proba(windows)
+    config = EngineConfig(max_batch_size=4, num_workers=2)
+    with InferenceEngine(model, config) as eng:
+        for _ in range(3):
+            futures = [eng.submit(w) for w in windows]
+            rows = np.vstack([f.result(timeout=30.0) for f in futures])
+            np.testing.assert_array_equal(rows, direct)
