@@ -2,8 +2,8 @@
 
 A cheap pre-merge guard that the vectorized kernels still beat their
 ``_reference`` twins and that a warm cache beats a cold build (the cache
-check builds at scale 0.05), without paying for the full
-scripts/bench_pr1.py run.
+check builds at scale 0.05), without paying for a full benchmark run
+(``perfbench/``).
 
 Usage:
     PYTHONPATH=src python scripts/bench_smoke.py [extra pytest args...]

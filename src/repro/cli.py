@@ -151,15 +151,11 @@ def cmd_serve_bench(args) -> int:
     model = create_model(args.model, **kwargs)
     model.fit(splits.train, splits.validation)
 
+    engine_config = EngineConfig(
+        max_batch_size=args.batch_size, max_wait_s=args.max_wait_s
+    )
     bench = run_serve_bench(
-        model,
-        splits.test,
-        requests=args.requests,
-        config=EngineConfig(
-            max_batch_size=args.batch_size,
-            max_wait_s=args.max_wait_s,
-            num_workers=args.num_workers,
-        ),
+        model, splits.test, requests=args.requests, config=engine_config
     )
     print(f"serve-bench: model={args.model} requests={bench.requests} "
           f"batch_size={args.batch_size}")
@@ -198,14 +194,7 @@ def cmd_serve_bench(args) -> int:
             model,
             splits.test,
             requests=args.requests,
-            config=PoolConfig(
-                num_workers=args.workers,
-                engine=EngineConfig(
-                    max_batch_size=args.batch_size,
-                    max_wait_s=args.max_wait_s,
-                    num_workers=args.num_workers,
-                ),
-            ),
+            config=PoolConfig(num_workers=args.workers, engine=engine_config),
         )
         print(f"  pool ({pool_bench.workers} proc) "
               f"{pool_bench.pool_throughput:8.1f} req/s "
@@ -396,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="engine max_batch_size")
     p_serve.add_argument("--max-wait-s", type=float, default=0.005,
                          help="micro-batcher wait for stragglers")
-    p_serve.add_argument("--num-workers", type=int, default=1,
-                         help="threads executing coalesced batches")
     p_serve.add_argument("--workers", type=int, default=0,
                          help="also benchmark a WorkerPool with this many "
                               "engine processes (0 = skip the pool phase)")

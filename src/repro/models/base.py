@@ -32,12 +32,24 @@ class RiskModel(abc.ABC):
         """Model-specific training."""
 
     @abc.abstractmethod
-    def _predict(self, windows: list[PostWindow]) -> np.ndarray:
-        """Model-specific inference (returns int labels)."""
+    def _predict(self, encoded) -> np.ndarray:
+        """Model-specific inference on :meth:`encode` output (int labels)."""
 
-    def _predict_proba(self, windows: list[PostWindow]) -> np.ndarray:
+    def _predict_proba(self, encoded) -> np.ndarray:
         """Model-specific probability scoring; override where supported."""
         raise ModelError(f"{self.name}: probabilities not supported")
+
+    def encode(self, windows: list[PostWindow], token_cache=None):
+        """Model input for ``windows``, what ``_predict*`` consume.
+
+        Feature models featurise inside ``_predict``/``_predict_proba``,
+        so their input is the window list itself. Neural models return
+        their pipeline's token encoding; ``token_cache`` (a
+        :class:`repro.core.lru.LRUCache`) memoises it per post text.
+        Pass the result to ``predict``/``predict_proba`` as ``encoded``
+        to keep tokenization a separate stage.
+        """
+        return windows
 
     def fit(
         self,
@@ -50,20 +62,32 @@ class RiskModel(abc.ABC):
         self._fitted = True
         return self
 
-    def predict(self, windows: list[PostWindow]) -> np.ndarray:
+    def predict(
+        self, windows: list[PostWindow], *, encoded=None
+    ) -> np.ndarray:
         if not self._fitted:
             raise NotFittedError(f"{self.name}: predict before fit")
         if not windows:
             return np.zeros(0, dtype=np.int64)
-        return np.asarray(self._predict(windows), dtype=np.int64)
+        if encoded is None:
+            encoded = self.encode(windows)
+        return np.asarray(self._predict(encoded), dtype=np.int64)
 
-    def predict_proba(self, windows: list[PostWindow]) -> np.ndarray:
-        """(N, C) class probabilities; the serving engine's scoring path."""
+    def predict_proba(
+        self, windows: list[PostWindow], *, encoded=None
+    ) -> np.ndarray:
+        """(N, C) class probabilities; the serving engine's scoring path.
+
+        ``encoded`` is this model's :meth:`encode` output for
+        ``windows``, when the caller has already computed it.
+        """
         if not self._fitted:
             raise NotFittedError(f"{self.name}: predict_proba before fit")
         if not windows:
             return np.zeros((0, NUM_CLASSES))
-        return np.asarray(self._predict_proba(windows), dtype=np.float64)
+        if encoded is None:
+            encoded = self.encode(windows)
+        return np.asarray(self._predict_proba(encoded), dtype=np.float64)
 
 
 def window_labels(windows: list[PostWindow]) -> np.ndarray:

@@ -13,15 +13,13 @@ import numpy as np
 
 from repro.core.rng import SeedSequenceRegistry
 from repro.core.schema import NUM_CLASSES
-from repro.models.base import RiskModel
 from repro.models.neural_common import (
     EncodedWindows,
+    NeuralRiskModel,
     TextPipeline,
     TrainerConfig,
     collate_post_grid,
     collate_time,
-    predict_classifier,
-    predict_proba_classifier,
     train_classifier,
 )
 from repro.nn import (
@@ -89,7 +87,7 @@ class BiLSTMNetwork(Module):
         return self.classifier(self.dropout(final_state))
 
 
-class TimeAwareBiLSTM(RiskModel):
+class TimeAwareBiLSTM(NeuralRiskModel):
     """The §III-A2 baseline wrapped in the common RiskModel interface."""
 
     name = "BiLSTM"
@@ -163,11 +161,3 @@ class TimeAwareBiLSTM(RiskModel):
         self.history = train_classifier(
             self.network, self._forward, encoded_train, encoded_val, self.trainer
         )
-
-    def _predict(self, windows: list[PostWindow]) -> np.ndarray:
-        encoded = self.pipeline.encode(windows)
-        return predict_classifier(self.network, self._forward, encoded)
-
-    def _predict_proba(self, windows: list[PostWindow]) -> np.ndarray:
-        encoded = self.pipeline.encode(windows)
-        return predict_proba_classifier(self.network, self._forward, encoded)

@@ -12,15 +12,13 @@ import numpy as np
 
 from repro.core.rng import SeedSequenceRegistry
 from repro.core.schema import NUM_CLASSES
-from repro.models.base import RiskModel
 from repro.models.neural_common import (
     EncodedWindows,
+    NeuralRiskModel,
     TextPipeline,
     TrainerConfig,
     collate_post_grid,
     collate_time,
-    predict_classifier,
-    predict_proba_classifier,
     train_classifier,
 )
 from repro.nn import Dropout, Embedding, GRU, LayerNorm, Linear, Tensor
@@ -109,7 +107,7 @@ class HiGRUNetwork(Module):
         return self.classifier(self.dropout(pooled))
 
 
-class HiGRU(RiskModel):
+class HiGRU(NeuralRiskModel):
     """The §III-A3 baseline wrapped in the common RiskModel interface."""
 
     name = "HiGRU"
@@ -167,11 +165,3 @@ class HiGRU(RiskModel):
         self.history = train_classifier(
             self.network, self._forward, encoded_train, encoded_val, self.trainer
         )
-
-    def _predict(self, windows: list[PostWindow]) -> np.ndarray:
-        encoded = self.pipeline.encode(windows)
-        return predict_classifier(self.network, self._forward, encoded)
-
-    def _predict_proba(self, windows: list[PostWindow]) -> np.ndarray:
-        encoded = self.pipeline.encode(windows)
-        return predict_proba_classifier(self.network, self._forward, encoded)

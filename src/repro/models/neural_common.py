@@ -14,6 +14,7 @@ import numpy as np
 from repro import perf
 from repro.core.rng import SeedSequenceRegistry
 from repro.eval.metrics import macro_f1
+from repro.models.base import RiskModel
 from repro.nn import (
     Adam,
     Tensor,
@@ -91,12 +92,20 @@ class TextPipeline:
         ids = self.vocab.encode(tokens)
         return ids or [self.vocab.unk_id]
 
-    def encode(self, windows: list[PostWindow]) -> EncodedWindows:
+    def encode(
+        self, windows: list[PostWindow], token_cache=None
+    ) -> EncodedWindows:
+        """Encode ``windows``; ``token_cache`` (an LRU keyed on post text)
+        memoises per-post token ids, so ``encode_post`` runs only on a
+        miss."""
         if self.vocab is None:
             raise RuntimeError("TextPipeline.encode before fit")
-        post_ids = [
-            [self.encode_post(p.text) for p in w.posts] for w in windows
-        ]
+        if token_cache is None:
+            post_ids = [
+                [self.encode_post(p.text) for p in w.posts] for w in windows
+            ]
+        else:
+            post_ids = self._encode_cached(windows, token_cache)
         time_feats = [
             self._time_encoder.encode_window(list(w.posts)) for w in windows
         ]
@@ -106,6 +115,28 @@ class TextPipeline:
         ]
         labels = np.array([int(w.label) for w in windows], dtype=np.int64)
         return EncodedWindows(post_ids, time_feats, hours, labels)
+
+    def _encode_cached(
+        self, windows: list[PostWindow], token_cache
+    ) -> list[list[list[int]]]:
+        post_ids = []
+        hits = misses = 0
+        for w in windows:
+            row = []
+            for post in w.posts:
+                cached = token_cache.get(post.text)
+                if cached is None:
+                    ids = self.encode_post(post.text)
+                    token_cache.put(post.text, tuple(ids))
+                    misses += 1
+                else:
+                    ids = list(cached)
+                    hits += 1
+                row.append(ids)
+            post_ids.append(row)
+        perf.count("serve.tokenize.hits", hits)
+        perf.count("serve.tokenize.misses", misses)
+        return post_ids
 
 
 # -- batch collation ----------------------------------------------------------
@@ -427,3 +458,26 @@ def predict_proba_classifier(
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
+
+
+class NeuralRiskModel(RiskModel):
+    """Inference shared by the four neural baselines.
+
+    Subclasses set ``self.pipeline`` (a fitted :class:`TextPipeline`)
+    and ``self.network``, and implement ``_forward(encoded, idx)``;
+    scoring is the pipeline's encoding fed through that forward pass.
+    """
+
+    pipeline: TextPipeline
+    network: Module | None
+
+    def encode(
+        self, windows: list[PostWindow], token_cache=None
+    ) -> EncodedWindows:
+        return self.pipeline.encode(windows, token_cache)
+
+    def _predict(self, encoded: EncodedWindows) -> np.ndarray:
+        return predict_classifier(self.network, self._forward, encoded)
+
+    def _predict_proba(self, encoded: EncodedWindows) -> np.ndarray:
+        return predict_proba_classifier(self.network, self._forward, encoded)

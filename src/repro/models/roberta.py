@@ -15,15 +15,13 @@ import numpy as np
 
 from repro.core.rng import SeedSequenceRegistry
 from repro.core.schema import NUM_CLASSES
-from repro.models.base import RiskModel
 from repro.models.neural_common import (
     EncodedWindows,
+    NeuralRiskModel,
     TextPipeline,
     TrainerConfig,
     collate_flat_tokens,
     collate_time,
-    predict_classifier,
-    predict_proba_classifier,
     train_classifier,
 )
 from repro.models.plm import MLMResult, PLMConfig, pretrain_mlm
@@ -90,7 +88,7 @@ class RobertaRiskNetwork(Module):
         return self.classifier(self.dropout(fused))
 
 
-class RobertaRiskModel(RiskModel):
+class RobertaRiskModel(NeuralRiskModel):
     """The §III-A4 baseline wrapped in the common RiskModel interface."""
 
     name = "RoBERTa"
@@ -161,11 +159,3 @@ class RobertaRiskModel(RiskModel):
         self.history = train_classifier(
             self.network, self._forward, encoded_train, encoded_val, self.trainer
         )
-
-    def _predict(self, windows: list[PostWindow]) -> np.ndarray:
-        encoded = self.pipeline.encode(windows)
-        return predict_classifier(self.network, self._forward, encoded)
-
-    def _predict_proba(self, windows: list[PostWindow]) -> np.ndarray:
-        encoded = self.pipeline.encode(windows)
-        return predict_proba_classifier(self.network, self._forward, encoded)

@@ -51,8 +51,9 @@ def export_state(model: RiskModel, cast_float32: bool = False) -> ModelState:
     ``cast_float32=True`` stores float64 weights as float32, halving
     the arena at the cost of float32 rounding on import (import always
     restores float64, so downstream numerics keep their dtype). The
-    accuracy delta is checked in ``scripts/bench_pr5.py``; float64 is
-    the default and preserves predictions bitwise.
+    probability delta is pinned below 1e-4 in
+    ``tests/models/test_state_arena.py``; float64 is the default and
+    preserves predictions bitwise.
     """
     if not isinstance(model, RiskModel):
         raise ModelError(f"export_state expects a RiskModel, got {type(model).__name__}")

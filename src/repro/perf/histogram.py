@@ -10,9 +10,10 @@ exposition (cumulative ``le`` buckets).
 
 Quantiles are estimated by linear interpolation inside the bucket that
 crosses the target rank. With 20 buckets per decade adjacent bounds
-differ by ~12%, so the worst-case relative error of a quantile estimate
-is ~6% — tight enough that p50/p90/p99 from a histogram track
-``numpy.percentile`` of the raw samples (see tests/perf).
+differ by ~12%, so an estimate is at most one bucket width (~12%) off
+``numpy.percentile`` of the raw samples and usually a few percent: the
+p50 of 96 serving latencies was off by 2% in the median of 40 runs and
+by up to 7% (see tests/perf and tests/serve).
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ stack. The canonical serving lifecycle is six events::
 
     enqueue → batch_assembly → tokenize → forward → scatter → complete
 
-(``enqueue`` at submit, ``batch_assembly`` when the micro-batcher
-dispatches the coalesced batch, then the worker's processing phases).
+(``enqueue`` at submit, ``batch_assembly`` when the batch thread
+starts the coalesced batch, then that batch's processing phases).
 Queue wait is the enqueue→batch_assembly gap; end-to-end latency is
 enqueue→complete.
 

@@ -4,7 +4,6 @@ registry baselines. See :mod:`repro.serve.engine`."""
 from repro.serve.bench import (
     PoolBenchResult,
     ServeBenchResult,
-    latency_quantiles,
     run_pool_bench,
     run_serve_bench,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "ServeBenchResult",
     "WorkerCrashError",
     "WorkerPool",
-    "latency_quantiles",
     "run_pool_bench",
     "run_serve_bench",
 ]

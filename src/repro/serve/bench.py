@@ -1,7 +1,6 @@
 """Serving throughput + latency benchmark: engine vs per-window scoring.
 
-Backs ``python -m repro serve-bench`` and the serve sections of
-``scripts/bench_pr2.py`` / ``scripts/bench_pr3.py``. The "before" path
+Backs ``python -m repro serve-bench``. The "before" path
 scores one window per ``predict_proba`` call (the naive deployment);
 the "after" path routes the same windows through
 :class:`InferenceEngine.predict_many`. Outputs are checked to match:
@@ -11,7 +10,8 @@ summation-order noise.
 A third phase drives the *async* micro-batched path — one
 ``submit()`` per request — and reports per-request end-to-end latency
 and queue wait quantiles (p50/p90/p99/max) straight from the engine's
-request traces, the numbers a deployment's SLO lives on.
+request traces, the numbers a deployment's SLO lives on. Quantiles come
+from :class:`repro.perf.Histogram`, the estimator behind every span.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.perf.histogram import Histogram
 from repro.serve.engine import EngineConfig, InferenceEngine
 from repro.serve.pool import PoolConfig, WorkerPool
 from repro.temporal.windows import PostWindow
@@ -29,38 +30,37 @@ from repro.temporal.windows import PostWindow
 __all__ = [
     "PoolBenchResult",
     "ServeBenchResult",
-    "latency_quantiles",
     "run_pool_bench",
     "run_serve_bench",
 ]
 
 
-def latency_quantiles(samples_ms: list[float]) -> dict:
-    """p50/p90/p99/max (ms) of a latency sample list, plus its size.
+_QUANTILES = ("p50", "p90", "p99", "max")
 
-    An empty sample list reports ``count: 0`` with ``None`` quantiles.
-    It used to report all-zero quantiles, which is indistinguishable
-    from a genuinely perfect p99 — a tracing-disabled run looked like
-    the fastest deployment on record. Consumers must check ``count``
-    before formatting the quantile fields.
+
+def _quantiles_ms(hist: dict) -> dict:
+    """p50/p90/p99/max (ms) of a ``Histogram.as_dict()``, plus its count.
+
+    An empty histogram reports ``count: 0`` with ``None`` quantiles:
+    all-zero quantiles would be indistinguishable from a genuinely
+    perfect p99. Consumers must check ``count`` before formatting the
+    quantile fields.
     """
-    if not samples_ms:
-        return {
-            "count": 0,
-            "p50_ms": None,
-            "p90_ms": None,
-            "p99_ms": None,
-            "max_ms": None,
-        }
-    arr = np.asarray(samples_ms, dtype=np.float64)
-    p50, p90, p99 = np.percentile(arr, [50, 90, 99])
+    count = hist.get("count", 0)
     return {
-        "count": int(arr.size),
-        "p50_ms": float(p50),
-        "p90_ms": float(p90),
-        "p99_ms": float(p99),
-        "max_ms": float(arr.max()),
+        "count": count,
+        **{
+            f"{q}_ms": hist[f"{q}_s"] * 1e3 if count else None
+            for q in _QUANTILES
+        },
     }
+
+
+def _sample_quantiles_ms(samples_ms: list[float]) -> dict:
+    hist = Histogram()
+    for value in samples_ms:
+        hist.observe(value / 1e3)
+    return _quantiles_ms(hist.as_dict())
 
 
 @dataclass
@@ -133,8 +133,8 @@ def run_serve_bench(
     )
 
     with InferenceEngine(model, trace_config) as engine:
-        # Warm call outside the timed region: first-touch costs (cache
-        # install, lazy imports) belong to startup, not steady state.
+        # Warm call outside the timed region: first-touch costs belong
+        # to startup, not steady state.
         engine.predict_many(traffic[:1])
         start = time.perf_counter()
         after = engine.predict_many(traffic)
@@ -149,8 +149,8 @@ def run_serve_bench(
         traces = engine.recent_traces(limit=requests)
         stats = engine.stats()
 
-    latency = latency_quantiles([t["total_ms"] for t in traces])
-    queue_wait = latency_quantiles([t["queue_wait_ms"] for t in traces])
+    latency = _sample_quantiles_ms([t["total_ms"] for t in traces])
+    queue_wait = _sample_quantiles_ms([t["queue_wait_ms"] for t in traces])
 
     return ServeBenchResult(
         requests=requests,
@@ -251,17 +251,7 @@ def run_pool_bench(
     lat_hist = merged.get("observations", {}).get(
         "serve.pool.request.latency_seconds", {}
     ).get("hist")
-    latency = (
-        {
-            "count": lat_hist["count"],
-            "p50_ms": lat_hist["p50_s"] * 1e3,
-            "p90_ms": lat_hist["p90_s"] * 1e3,
-            "p99_ms": lat_hist["p99_s"] * 1e3,
-            "max_ms": lat_hist["max_s"] * 1e3,
-        }
-        if lat_hist
-        else latency_quantiles([])
-    )
+    latency = _quantiles_ms(lat_hist or {})
 
     return PoolBenchResult(
         requests=requests,

@@ -7,14 +7,15 @@ overhead — python dispatch, feature/tokenization setup, tiny gemms. The
 :class:`InferenceEngine` closes that gap three ways:
 
 * **dynamic micro-batching** — asynchronous ``submit`` requests queue up
-  and a batcher thread coalesces them into batches of up to
+  and one batch thread coalesces them into batches of up to
   ``max_batch_size``, waiting at most ``max_wait_s`` after the first
-  request so latency stays bounded under light load; ``num_workers``
-  threads execute the coalesced batches (BLAS releases the GIL, so
-  workers overlap on multi-core hosts);
+  request so latency stays bounded under light load, then runs each
+  batch it assembled;
 * **a bounded LRU tokenization cache** — users repost and windows
   overlap, so per-post token encodings are memoised (and bounded, unlike
-  a bare dict, so long-running processes don't leak);
+  a bare dict, so long-running processes don't leak). The engine owns
+  the cache and passes it to :meth:`RiskModel.encode`; the model is
+  never modified;
 * **a synchronous ``predict_many`` fast path** — bulk scoring skips the
   queue entirely and feeds size-capped batches straight to the model.
 
@@ -62,14 +63,11 @@ class EngineConfig:
         queued request before dispatching a partial batch.
     tokenization_cache_size:
         LRU budget (distinct post texts) for the tokenization cache.
-    num_workers:
-        Threads executing coalesced batches. BLAS kernels release the
-        GIL, so >1 overlaps batch compute under concurrent traffic.
     tracing:
         Trace every async request's lifecycle (six timestamped events)
-        and feed the per-request latency/queue-wait histograms. Cheap
-        enough to leave on (see BENCH_PR3.json); disable only to shave
-        the last percent off a bulk benchmark.
+        and feed the per-request latency/queue-wait histograms. Traced
+        and untraced requests run the same model calls; tracing only
+        adds the timestamps.
     trace_ring_size:
         How many finished traces the in-memory ring retains.
     slow_threshold_s:
@@ -83,7 +81,6 @@ class EngineConfig:
     max_batch_size: int = 32
     max_wait_s: float = 0.005
     tokenization_cache_size: int = 8192
-    num_workers: int = 1
     tracing: bool = True
     trace_ring_size: int = 256
     slow_threshold_s: float = 1.0
@@ -94,8 +91,6 @@ class EngineConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_wait_s < 0:
             raise ValueError("max_wait_s must be >= 0")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
         if self.trace_ring_size < 1:
             raise ValueError("trace_ring_size must be >= 1")
         if self.slow_threshold_s < 0:
@@ -113,8 +108,8 @@ class InferenceEngine:
     >>> future.result()                               # (C,) probabilities
     >>> engine.close()
 
-    The engine is also a context manager; ``close()`` drains the queue,
-    stops the batcher thread and uninstalls the tokenization cache.
+    The engine is also a context manager; ``close()`` drains the queue
+    and stops the batch thread.
     """
 
     def __init__(
@@ -133,66 +128,17 @@ class InferenceEngine:
             slow_log_path=self.config.slow_log_path,
         )
         self._queue: queue.Queue = queue.Queue()
-        self._batch_queue: queue.Queue = queue.Queue()
         self._closed = False
         self._batches = 0
         self._batched_items = 0
         self._in_flight = 0
         self._lock = threading.Lock()
-        self._original_encode = None
-        self._install_tokenization_cache()
+        # The benchmark's traced run attributes model calls made on
+        # threads named ``serve-worker*`` to the engine.
         self._batcher = threading.Thread(
-            target=self._batch_loop, name="serve-batcher", daemon=True
+            target=self._batch_loop, name="serve-worker", daemon=True
         )
         self._batcher.start()
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop, name=f"serve-worker-{i}", daemon=True
-            )
-            for i in range(self.config.num_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
-
-    # -- tokenization cache ------------------------------------------------
-
-    def _install_tokenization_cache(self) -> None:
-        """Memoise the model pipeline's per-post encoder through the LRU.
-
-        Neural models re-encode every post text on each predict call;
-        under serving traffic the same texts recur (overlapping windows,
-        reposts), so encoding is cached keyed on the raw text. Feature
-        models without a ``pipeline.encode_post`` are left untouched.
-        """
-        pipeline = getattr(self.model, "pipeline", None)
-        encode = getattr(pipeline, "encode_post", None)
-        if encode is None:
-            return
-        cache = self.tokenization_cache
-
-        def cached_encode_post(text: str) -> list[int]:
-            hit = cache.get(text)
-            if hit is not None:
-                perf.count("serve.tokenize.hits")
-                return list(hit)
-            ids = encode(text)
-            cache.put(text, tuple(ids))
-            perf.count("serve.tokenize.misses")
-            return ids
-
-        pipeline.encode_post = cached_encode_post
-        # Runs from __init__, before the batcher/worker threads exist;
-        # locking here would imply a concurrency that cannot happen yet.
-        self._original_encode = (pipeline, encode)  # repro: noqa[REPRO-LOCK]
-
-    def _uninstall_tokenization_cache(self) -> None:
-        if self._original_encode is not None:
-            pipeline, _ = self._original_encode
-            try:
-                del pipeline.encode_post  # remove the instance shadow
-            except AttributeError:
-                pass
-            self._original_encode = None
 
     # -- synchronous bulk path ---------------------------------------------
 
@@ -207,7 +153,8 @@ class InferenceEngine:
             with no_grad():
                 for start in range(0, len(windows), size):
                     chunk = windows[start : start + size]
-                    out.append(self.model.predict_proba(chunk))
+                    encoded = self.model.encode(chunk, self.tokenization_cache)
+                    out.append(self.model.predict_proba(chunk, encoded=encoded))
                     self._record_batch(len(chunk))
         perf.count("serve.requests", len(windows))
         return np.vstack(out)
@@ -264,29 +211,9 @@ class InferenceEngine:
                 except queue.Empty:
                     break
                 if extra is _SHUTDOWN:
-                    self._dispatch(batch)
+                    self._run_batch(batch)
                     return
                 batch.append(extra)
-            self._dispatch(batch)
-
-    def _dispatch(self, batch: list) -> None:
-        """Hand an assembled batch to the workers, stamping traces."""
-        now = time.perf_counter()
-        for _, _, trace in batch:
-            if trace is not None:
-                trace.event("batch_assembly", now)
-        with self._lock:
-            self._in_flight += 1
-            in_flight = self._in_flight
-        perf.gauge("serve.in_flight_batches", in_flight)
-        perf.gauge("serve.queue_depth", self._queue.qsize())
-        self._batch_queue.put(batch)
-
-    def _worker_loop(self) -> None:
-        while True:
-            batch = self._batch_queue.get()
-            if batch is _SHUTDOWN:
-                return
             self._run_batch(batch)
 
     def _stamp(self, batch: list, name: str) -> None:
@@ -298,15 +225,22 @@ class InferenceEngine:
     def _run_batch(
         self, batch: list[tuple[PostWindow, Future, Trace | None]]
     ) -> None:
+        self._stamp(batch, "batch_assembly")
+        with self._lock:
+            self._in_flight += 1
+            in_flight = self._in_flight
+        perf.gauge("serve.in_flight_batches", in_flight)
+        perf.gauge("serve.queue_depth", self._queue.qsize())
         windows = [window for window, _, _ in batch]
         try:
             with perf.span("serve.batch"):
                 with no_grad():
                     self._stamp(batch, "tokenize")
-                    if self.config.tracing:
-                        self._warm_tokenization(windows)
+                    encoded = self.model.encode(
+                        windows, self.tokenization_cache
+                    )
                     self._stamp(batch, "forward")
-                    probs = self.model.predict_proba(windows)
+                    probs = self.model.predict_proba(windows, encoded=encoded)
             self._stamp(batch, "scatter")
             self._record_batch(len(batch))
             for (_, future, _), row in zip(batch, probs):
@@ -323,19 +257,6 @@ class InferenceEngine:
                 self._in_flight -= 1
                 in_flight = self._in_flight
             perf.gauge("serve.in_flight_batches", in_flight)
-
-    def _warm_tokenization(self, windows: list[PostWindow]) -> None:
-        """Pre-encode through the memoised per-post encoder.
-
-        Separates the tokenize phase from the forward pass for tracing:
-        the inner ``predict_proba`` re-encode then hits the LRU, so the
-        work is done once either way. Feature models without a pipeline
-        encoder skip this (their tokenize→forward gap reads ~0).
-        """
-        pipeline = getattr(self.model, "pipeline", None)
-        encode = getattr(pipeline, "encode", None)
-        if encode is not None:
-            encode(windows)
 
     def _finish_traces(self, batch: list, batch_size: int) -> None:
         for _, _, trace in batch:
@@ -391,14 +312,10 @@ class InferenceEngine:
             return
         with self._lock:
             self._closed = True
+        # The batch thread runs every request queued before the
+        # sentinel, then stops.
         self._queue.put(_SHUTDOWN)
         self._batcher.join(timeout=5.0)
-        # The batcher has stopped producing; let the workers drain the
-        # batch queue, then stop them.
-        for _ in self._workers:
-            self._batch_queue.put(_SHUTDOWN)
-        for worker in self._workers:
-            worker.join(timeout=5.0)
         # Fail any request that raced the shutdown sentinel.
         while True:
             try:
@@ -409,7 +326,6 @@ class InferenceEngine:
                 _, future, _ = item
                 if not future.done():
                     future.set_exception(RuntimeError("engine closed"))
-        self._uninstall_tokenization_cache()
 
     def __enter__(self) -> "InferenceEngine":
         return self

@@ -68,9 +68,6 @@ __all__ = [
     "WorkerPool",
 ]
 
-_START_METHODS = ("spawn", "fork", "forkserver")
-
-
 class WorkerCrashError(RuntimeError):
     """A worker process died unexpectedly; the pool is broken."""
 
@@ -86,8 +83,8 @@ class PoolConfig:
     num_workers:
         Engine processes to spawn. Throughput scales with physical
         cores; on a single-core host the pool adds IPC overhead for no
-        parallelism (``scripts/bench_pr5.py`` records ``cpu_count``
-        next to its numbers for exactly this reason).
+        parallelism (the benchmark records the host CPU count next to
+        its pool figures for exactly this reason).
     engine:
         :class:`EngineConfig` used by every worker's local engine. Its
         ``max_batch_size`` also fixes the pool's ``predict_many``
@@ -99,11 +96,8 @@ class PoolConfig:
     cast_float32:
         Export weights as float32 (half the shared segment; float64 is
         restored on import). Off by default: float32 rounding perturbs
-        probabilities, see the accuracy-delta gate in the bench.
-    start_method:
-        ``multiprocessing`` start method. ``spawn`` is the default —
-        safe regardless of parent threads; ``fork`` starts faster but
-        inherits the parent's thread-unsafe state.
+        probabilities (the delta is pinned below 1e-4 by
+        ``tests/models/test_state_arena.py``).
     startup_timeout_s / shutdown_timeout_s:
         How long to wait for workers to come up / drain before the
         pool gives up (startup) or terminates them (shutdown).
@@ -113,7 +107,6 @@ class PoolConfig:
     engine: EngineConfig = field(default_factory=EngineConfig)
     max_pending: int = 256
     cast_float32: bool = False
-    start_method: str = "spawn"
     startup_timeout_s: float = 120.0
     shutdown_timeout_s: float = 10.0
 
@@ -122,11 +115,6 @@ class PoolConfig:
             raise ValueError("num_workers must be >= 1")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.start_method not in _START_METHODS:
-            raise ValueError(
-                f"start_method must be one of {_START_METHODS}, "
-                f"got {self.start_method!r}"
-            )
         if self.startup_timeout_s <= 0 or self.shutdown_timeout_s <= 0:
             raise ValueError("timeouts must be > 0")
 
@@ -258,7 +246,9 @@ class WorkerPool:
             # shm.buf here, so close()/unlink() later cannot hit a
             # BufferError from a lingering export.
             self._shm.buf[: state.arena.nbytes] = state.arena.tobytes()
-            ctx = multiprocessing.get_context(self.config.start_method)
+            # spawn, not fork: workers must not inherit the parent's
+            # threads (engine batch threads, the collector) mid-state.
+            ctx = multiprocessing.get_context("spawn")
             self._request_q = ctx.Queue(maxsize=self.config.max_pending)
             self._result_q = ctx.Queue()
             self._processes = [

@@ -31,8 +31,9 @@ def test_src_is_clean_modulo_checked_in_baseline():
 
 
 def test_checked_in_baseline_entries_are_justified():
+    # The baseline may be empty (src/ is clean); any entry it does carry
+    # must explain why the finding is grandfathered.
     baseline = Baseline.load(REPO_ROOT / "lint_baseline.json")
-    assert baseline.entries, "baseline exists, so it must carry entries"
     for entry in baseline.entries:
         assert len(entry.description) > 20, entry
 

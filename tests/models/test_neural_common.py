@@ -31,6 +31,31 @@ class TestTextPipeline:
         assert len(pipeline.vocab) <= 400
         assert len(pipeline.vocab) > 50
 
+    def test_token_cache_encodes_each_text_once(
+        self, pipeline_and_encoded, small_dataset, monkeypatch
+    ):
+        from repro.core.lru import LRUCache
+
+        pipeline, _ = pipeline_and_encoded
+        windows = small_dataset.splits().train[:30]
+        plain = pipeline.encode(windows)
+        texts = {post.text for w in windows for post in w.posts}
+        calls = []
+        real_encode_post = TextPipeline.encode_post
+
+        def counting(self, text):
+            calls.append(text)
+            return real_encode_post(self, text)
+
+        monkeypatch.setattr(TextPipeline, "encode_post", counting)
+        cache = LRUCache(4096)
+        first = pipeline.encode(windows, cache)
+        assert sorted(calls) == sorted(texts)  # one call per miss
+        second = pipeline.encode(windows, cache)
+        assert len(calls) == len(texts)  # all hits
+        assert first.post_token_ids == plain.post_token_ids
+        assert second.post_token_ids == plain.post_token_ids
+
     def test_encode_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             TextPipeline().encode([])

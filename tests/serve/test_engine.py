@@ -27,18 +27,6 @@ def test_config_validation():
         EngineConfig(max_batch_size=0)
     with pytest.raises(ValueError):
         EngineConfig(max_wait_s=-1.0)
-    with pytest.raises(ValueError):
-        EngineConfig(num_workers=0)
-
-
-def test_multiple_workers_match_direct(fitted_logreg, small_splits):
-    windows = small_splits.test
-    direct = fitted_logreg.predict_proba(windows)
-    config = EngineConfig(max_batch_size=2, max_wait_s=0.01, num_workers=3)
-    with InferenceEngine(fitted_logreg, config) as eng:
-        futures = [eng.submit(w) for w in windows]
-        rows = np.vstack([f.result(timeout=10.0) for f in futures])
-    np.testing.assert_allclose(rows, direct, atol=1e-12)
 
 
 def test_requires_fitted_model():
@@ -152,9 +140,9 @@ class TestTracing:
 
         real_predict = fitted_logreg.predict_proba
 
-        def slow_predict(windows):
+        def slow_predict(windows, **kwargs):
             _time.sleep(0.05)
-            return real_predict(windows)
+            return real_predict(windows, **kwargs)
 
         monkeypatch.setattr(fitted_logreg, "predict_proba", slow_predict)
         log = tmp_path / "slow_requests.jsonl"
@@ -220,7 +208,8 @@ class TestTracing:
         assert stats["traces"]["finished"] == 10
 
 
-def test_tokenization_cache_restored_after_close(small_splits, small_dataset):
+@pytest.fixture(scope="module")
+def tiny_roberta(small_splits, small_dataset):
     from repro.models.neural_common import TrainerConfig
     from repro.models.plm import PLMConfig
     from repro.models.roberta import RobertaRiskModel
@@ -233,15 +222,73 @@ def test_tokenization_cache_restored_after_close(small_splits, small_dataset):
         pretrain_steps=1,
         seed=0,
     )
-    model.fit(small_splits.train, small_splits.validation)
-    original = model.pipeline.encode_post
-    with InferenceEngine(model) as eng:
-        assert model.pipeline.encode_post is not original
-        eng.predict_many(small_splits.test)
-        eng.predict_many(small_splits.test)  # second pass hits the cache
-        cache = eng.stats()["tokenization_cache"]
-    assert cache["hits"] > 0
-    assert model.pipeline.encode_post == original  # shadow removed
+    return model.fit(small_splits.train, small_splits.validation)
+
+
+class TestTokenizationCache:
+    def test_engine_never_patches_the_model(self, tiny_roberta, small_splits):
+        pipeline = tiny_roberta.pipeline
+        with InferenceEngine(tiny_roberta) as eng:
+            assert "encode_post" not in pipeline.__dict__
+            eng.predict_many(small_splits.test)
+            eng.predict_many(small_splits.test)  # second pass hits the cache
+            eng.submit(small_splits.test[0]).result(timeout=30.0)
+            assert "encode_post" not in pipeline.__dict__
+            cache = eng.stats()["tokenization_cache"]
+        assert cache["hits"] > 0
+        assert "encode_post" not in pipeline.__dict__
+
+    def test_two_engines_on_one_model_keep_their_caches(
+        self, tiny_roberta, small_splits
+    ):
+        first = InferenceEngine(tiny_roberta)
+        second = InferenceEngine(tiny_roberta)
+        try:
+            first.close()
+            second.predict_many(small_splits.test)
+            second.predict_many(small_splits.test)
+            cache = second.tokenization_cache.stats()
+        finally:
+            second.close()
+        assert cache["misses"] > 0
+        assert cache["hits"] >= cache["misses"]
+
+    @pytest.mark.filterwarnings("ignore::ResourceWarning")
+    def test_pool_next_to_open_engine_matches_engine(
+        self, tiny_roberta, small_splits
+    ):
+        from repro.serve import PoolConfig, WorkerPool
+
+        config = PoolConfig(num_workers=1)
+        windows = list(small_splits.test)
+        with InferenceEngine(tiny_roberta, config.engine) as eng:
+            single = eng.predict_many(windows)
+            with WorkerPool(tiny_roberta, config) as pool:
+                pooled = pool.predict_many(windows, timeout=120.0)
+        np.testing.assert_array_equal(pooled, single)
+
+    @pytest.mark.parametrize("tracing", [True, False])
+    def test_one_encode_per_batch_traced_or_not(
+        self, tiny_roberta, small_splits, monkeypatch, tracing
+    ):
+        from repro.models.neural_common import TextPipeline
+
+        calls = []
+        real_encode = TextPipeline.encode
+
+        def counting_encode(self, windows, *args, **kwargs):
+            calls.append(len(windows))
+            return real_encode(self, windows, *args, **kwargs)
+
+        monkeypatch.setattr(TextPipeline, "encode", counting_encode)
+        windows = small_splits.test[:6]
+        config = EngineConfig(max_batch_size=4, tracing=tracing)
+        with InferenceEngine(tiny_roberta, config) as eng:
+            for f in [eng.submit(w) for w in windows]:
+                f.result(timeout=30.0)
+            batches = eng.stats()["batches"]
+        assert len(calls) == batches
+        assert sum(calls) == len(windows)
 
 
 @pytest.mark.perf_smoke
@@ -260,6 +307,44 @@ def test_engine_throughput_beats_per_window(fitted_logreg, small_splits):
     assert all(r.labels_identical for r in results)
     assert all(r.max_prob_diff < 1e-9 for r in results)
     assert max(r.speedup for r in results) > 1.2
+
+
+def test_serve_bench_latency_from_histogram(
+    fitted_logreg, small_splits, monkeypatch
+):
+    """Latency quantiles cover every request and track numpy's within
+    one histogram bucket width (~12%)."""
+    seen = []
+    real_recent = InferenceEngine.recent_traces
+
+    def capture(self, limit=None):
+        traces = real_recent(self, limit)
+        seen.extend(traces)
+        return traces
+
+    monkeypatch.setattr(InferenceEngine, "recent_traces", capture)
+    requests = 96
+    result = run_serve_bench(
+        fitted_logreg, small_splits.test, requests=requests,
+        config=EngineConfig(max_batch_size=8),
+    )
+    assert result.latency["count"] == requests
+    assert result.queue_wait["count"] == requests
+    expected = float(np.percentile([t["total_ms"] for t in seen], 50))
+    assert result.latency["p50_ms"] == pytest.approx(expected, rel=0.12)
+
+
+def test_serve_bench_empty_latency_has_no_quantiles(
+    fitted_logreg, small_splits
+):
+    result = run_serve_bench(
+        fitted_logreg, small_splits.test, requests=8,
+        config=EngineConfig(tracing=False),
+    )
+    assert result.latency == {
+        "count": 0, "p50_ms": None, "p90_ms": None, "p99_ms": None,
+        "max_ms": None,
+    }
 
 
 @pytest.mark.perf_smoke
@@ -282,9 +367,12 @@ def test_serve_counters_flow_through_perf(fitted_logreg, small_splits):
 
 
 def test_threaded_workers_keep_dropout_off(small_splits, small_dataset):
-    """Two worker threads scoring one PLM with dropout must agree with
-    ``predict_proba`` bitwise: no thread may switch the module back to
-    train mode while another is mid-forward."""
+    """A caller-thread ``predict_many`` running while the batch thread
+    serves ``submit`` traffic on one PLM with dropout must agree with
+    ``predict_proba`` bitwise: neither thread may switch the module back
+    to train mode while the other is mid-forward."""
+    import threading
+
     from repro.models.deberta import DebertaRiskModel
     from repro.models.neural_common import TrainerConfig
     from repro.models.plm import PLMConfig
@@ -300,9 +388,18 @@ def test_threaded_workers_keep_dropout_off(small_splits, small_dataset):
     model.fit(small_splits.train, small_splits.validation)
     windows = small_splits.train[:32]
     direct = model.predict_proba(windows)
-    config = EngineConfig(max_batch_size=4, num_workers=2)
+    config = EngineConfig(max_batch_size=4)
     with InferenceEngine(model, config) as eng:
+        bulk: list[np.ndarray] = []
+        caller = threading.Thread(
+            target=lambda: bulk.extend(eng.predict_many(windows) for _ in range(3))
+        )
+        caller.start()
         for _ in range(3):
             futures = [eng.submit(w) for w in windows]
             rows = np.vstack([f.result(timeout=30.0) for f in futures])
             np.testing.assert_array_equal(rows, direct)
+        caller.join(timeout=60.0)
+    assert len(bulk) == 3
+    for rows in bulk:
+        np.testing.assert_array_equal(rows, direct)

@@ -1,6 +1,6 @@
 """WorkerPool: output integrity, crash propagation, backpressure, telemetry.
 
-Uses the ``spawn`` start method throughout (the pool's default), so the
+The pool always starts workers with ``spawn``, so the
 helper model classes here must be importable by worker processes —
 they live at module top level for exactly that reason.
 """
@@ -74,8 +74,6 @@ class TestConfig:
             PoolConfig(num_workers=0)
         with pytest.raises(ValueError):
             PoolConfig(max_pending=0)
-        with pytest.raises(ValueError):
-            PoolConfig(start_method="teleport")
         with pytest.raises(ValueError):
             PoolConfig(startup_timeout_s=0)
 
