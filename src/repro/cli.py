@@ -202,7 +202,7 @@ def cmd_serve_bench(args) -> int:
               f"speedup vs engine {pool_bench.speedup:.2f}x")
         print(f"  pool labels identical: {pool_bench.labels_identical}   "
               f"probs bitwise: {pool_bench.probs_bitwise_identical}   "
-              f"arena: {pool_bench.arena_nbytes / 1024:.0f} KiB")
+              f"model: {pool_bench.model_nbytes / 1024:.0f} KiB")
 
     if args.output:
         extra = {"serve_bench": bench.as_dict()}
@@ -365,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the perf span report and write it to --profile-output",
     )
     p_bench.add_argument(
-        "--profile-output", default="BENCH_PR1.json",
-        help="JSON file the perf report is merged into (default BENCH_PR1.json)",
+        "--profile-output", default="perf_profile.json",
+        help="JSON file the perf report is merged into (default perf_profile.json)",
     )
     p_bench.set_defaults(func=cmd_bench)
 

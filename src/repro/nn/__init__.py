@@ -1,6 +1,5 @@
 """A small numpy autograd/NN framework (the paper's "PyTorch" substrate)."""
 
-from repro.nn.arena import ARENA_ALIGN, PackedObject, pack, unpack
 from repro.nn.attention import (
     DisentangledSelfAttention,
     MultiHeadAttention,
@@ -46,10 +45,6 @@ from repro.nn.transformer import (
 )
 
 __all__ = [
-    "ARENA_ALIGN",
-    "PackedObject",
-    "pack",
-    "unpack",
     "DisentangledSelfAttention",
     "MultiHeadAttention",
     "TemporalDecayAttention",

@@ -24,7 +24,7 @@ a few dict/array updates on a lock-free per-thread shard — so library
 code can instrument unconditionally. Reporting is opt-in: the CLI
 prints the report after every command (including failed ones) when the
 ``REPRO_PERF`` environment variable is set, and ``python -m repro bench
---profile`` additionally writes it to ``BENCH_PR1.json``. See
+--profile`` additionally writes it to ``perf_profile.json``. See
 ``docs/observability.md`` and ``docs/performance.md``.
 """
 

@@ -183,8 +183,7 @@ class PoolBenchResult:
     labels_identical: bool
     probs_bitwise_identical: bool
     max_prob_diff: float
-    arena_nbytes: int
-    cast: str
+    model_nbytes: int
     pool_stats: dict
     latency: dict = field(default_factory=dict)
 
@@ -204,8 +203,7 @@ class PoolBenchResult:
             "labels_identical": self.labels_identical,
             "probs_bitwise_identical": self.probs_bitwise_identical,
             "max_prob_diff": self.max_prob_diff,
-            "arena_nbytes": self.arena_nbytes,
-            "cast": self.cast,
+            "model_nbytes": self.model_nbytes,
             "latency": self.latency,
             "pool_stats": self.pool_stats,
         }
@@ -224,9 +222,8 @@ def run_pool_bench(
     the pool phase shards that traffic across ``config.num_workers``
     processes. Worker startup and model reconstruction happen outside
     the timed region — steady-state throughput is what a deployment
-    sees. Integrity is checked both ways: labels must match bitwise,
-    and in float64 mode (``cast_float32=False``) the probabilities
-    themselves must be bitwise-identical.
+    sees. Integrity is checked both ways: labels must match, and the
+    float64 probabilities themselves must be bitwise-identical.
     """
     if not windows:
         raise ValueError("pool bench needs at least one window")
@@ -265,8 +262,7 @@ def run_pool_bench(
         ),
         probs_bitwise_identical=bool(np.array_equal(single, pooled)),
         max_prob_diff=float(np.abs(single - pooled).max()),
-        arena_nbytes=stats["arena_nbytes"],
-        cast=stats["cast"],
+        model_nbytes=pool.model_nbytes,
         pool_stats=stats,
         latency=latency,
     )

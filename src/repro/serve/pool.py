@@ -2,22 +2,17 @@
 
 One :class:`~repro.serve.engine.InferenceEngine` is capped by one GIL
 and one BLAS context. The :class:`WorkerPool` scales past that by
-spawning ``num_workers`` processes, each running its own engine over a
-locally reconstructed model, all pulling from a single bounded request
-queue:
+spawning ``num_workers`` processes, each running its own engine over its
+own copy of the model, all pulling from a single bounded request queue:
 
-* **zero-copy weight handoff** — the fitted model is split once by
-  :func:`repro.models.state.export_state` into a kilobyte skeleton
-  pickle plus one contiguous weight arena; the arena goes into a
-  ``multiprocessing.shared_memory`` segment and every worker rebuilds
-  its model over ``np.frombuffer`` views
-  (:func:`repro.models.state.import_state`), so N workers map one
-  physical copy of the weights instead of holding N pickled clones;
+* **pickle handoff** — the parent pickles the fitted model once and
+  every worker unpickles its own copy at startup. Sharing one weight
+  segment instead saved only ~2 MB of peak RSS per worker and no
+  startup time on the benchmark's DeBERTa (1.06 MB of weights);
 * **single-engine contract** — ``predict_many`` shards its input into
-  chunks aligned to ``engine.max_batch_size``, so every worker scores
-  exactly the batches the single engine would have scored: labels are
-  bitwise-identical and probabilities match to summation-order noise
-  (bitwise in the default float64 mode; see tests/serve/test_pool.py);
+  chunks aligned to ``engine.max_batch_size``: every worker scores
+  exactly the batches the single engine would have scored, so the
+  probabilities are bitwise-identical (see tests/serve/test_pool.py);
 * **crash propagation** — a collector thread watches worker liveness;
   an unexpected worker death marks the pool *broken* and fails every
   in-flight ``Future`` with :class:`WorkerCrashError` instead of
@@ -35,28 +30,27 @@ queue:
 
 Lifecycle: construct → ``predict_many``/``submit`` → ``close()`` (or
 use as a context manager). ``close()`` sends stop sentinels, collects
-worker snapshots, joins processes, then unlinks the shared segment.
+worker snapshots, then joins processes.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import queue
 import threading
 import time
 import traceback
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro import perf
-from repro.core.errors import ModelError
+from repro.core.errors import ModelError, NotFittedError
 from repro.core.schema import NUM_CLASSES
 from repro.models.base import RiskModel
-from repro.models.state import ModelState, export_state, import_state
 from repro.perf.export import merge_snapshots
 from repro.serve.engine import EngineConfig, InferenceEngine
 from repro.temporal.windows import PostWindow
@@ -93,11 +87,6 @@ class PoolConfig:
     max_pending:
         Bound on queued (submitted, not yet collected) requests —
         the backpressure knob.
-    cast_float32:
-        Export weights as float32 (half the shared segment; float64 is
-        restored on import). Off by default: float32 rounding perturbs
-        probabilities (the delta is pinned below 1e-4 by
-        ``tests/models/test_state_arena.py``).
     startup_timeout_s / shutdown_timeout_s:
         How long to wait for workers to come up / drain before the
         pool gives up (startup) or terminates them (shutdown).
@@ -106,7 +95,6 @@ class PoolConfig:
     num_workers: int = 2
     engine: EngineConfig = field(default_factory=EngineConfig)
     max_pending: int = 256
-    cast_float32: bool = False
     startup_timeout_s: float = 120.0
     shutdown_timeout_s: float = 10.0
 
@@ -129,44 +117,38 @@ def _format_error(exc: BaseException) -> str:
     return "".join(lines).rstrip()
 
 
-def _flush_and_exit(result_q) -> None:
-    """Deliver queued results, then exit without running finalizers.
+def _flush(result_q) -> None:
+    """Block until every queued result has been written to the pipe.
 
-    The worker's model holds ``np.frombuffer`` views into the shared
-    segment, so a normal interpreter shutdown would try to close the
-    mapping under them and spray ``BufferError`` from
-    ``SharedMemory.__del__``. ``os._exit`` skips finalizers; the OS
-    unmaps the segment. ``join_thread`` first, so the queue's feeder
-    thread has flushed the final message to the pipe.
+    ``join_thread`` waits for the queue's feeder thread, so the final
+    message (the ``"stopped"`` snapshot) is delivered before the worker
+    process exits.
     """
     result_q.close()
     result_q.join_thread()
-    os._exit(0)
 
 
 def _worker_main(
     worker_id: int,
-    shm_name: str,
-    skeleton: bytes,
-    manifest: dict,
+    model_bytes: bytes,
     engine_config: EngineConfig,
     request_q,
     result_q,
 ) -> None:
-    """Worker process body: attach arena, rebuild model, serve requests.
+    """Worker process body: unpickle the model, serve requests.
 
     Top-level (not a closure) so it pickles under the ``spawn`` start
     method.
     """
     try:
-        shm = shared_memory.SharedMemory(name=shm_name)
-        model = import_state(skeleton, manifest, shm.buf)
+        model = pickle.loads(model_bytes)
         engine = InferenceEngine(model, engine_config)
     except BaseException as exc:
         # Startup failure must reach the parent or __init__ would hang
         # waiting for "ready"; nothing to re-raise to in a child process.
         result_q.put(("start_error", worker_id, _format_error(exc)))
-        _flush_and_exit(result_q)
+        _flush(result_q)
+        return
     result_q.put(("ready", worker_id, os.getpid()))
     try:
         while True:
@@ -190,7 +172,7 @@ def _worker_main(
             # than a clean engine teardown in a dying process.
             pass
         result_q.put(("stopped", worker_id, perf.snapshot()))
-        _flush_and_exit(result_q)
+        _flush(result_q)
 
 
 class WorkerPool:
@@ -202,25 +184,21 @@ class WorkerPool:
     ...     probs = pool.predict_many(windows)      # sync, sharded
     ...     future = pool.submit(windows[:8])       # async, one chunk
     ...     future.result()
-
-    Alternatively construct from a pre-exported :class:`ModelState`
-    (``WorkerPool(state=...)``) when the parent never needs the live
-    model object.
     """
 
-    def __init__(
-        self,
-        model: RiskModel | None = None,
-        config: PoolConfig | None = None,
-        *,
-        state: ModelState | None = None,
-    ) -> None:
-        if (model is None) == (state is None):
-            raise ModelError("WorkerPool needs exactly one of model= or state=")
+    def __init__(self, model: RiskModel, config: PoolConfig | None = None) -> None:
+        if not isinstance(model, RiskModel):
+            raise ModelError(
+                f"WorkerPool expects a RiskModel, got {type(model).__name__}"
+            )
+        if not model._fitted:
+            raise NotFittedError(
+                f"{type(model).__name__} is not fitted — pool workers serve "
+                f"trained weights, not architectures"
+            )
         self.config = config or PoolConfig()
-        if state is None:
-            state = export_state(model, cast_float32=self.config.cast_float32)
-        self.manifest = state.manifest
+        model_bytes = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+        self.model_nbytes = len(model_bytes)
 
         self._lock = threading.Lock()
         self._pending: dict[int, tuple[Future, float]] = {}
@@ -238,14 +216,7 @@ class WorkerPool:
         self._ready = threading.Event()
         self._workers_done = threading.Event()
 
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=max(1, int(state.arena.nbytes))
-        )
         try:
-            # One copy into the OS segment; no numpy view is kept on
-            # shm.buf here, so close()/unlink() later cannot hit a
-            # BufferError from a lingering export.
-            self._shm.buf[: state.arena.nbytes] = state.arena.tobytes()
             # spawn, not fork: workers must not inherit the parent's
             # threads (engine batch threads, the collector) mid-state.
             ctx = multiprocessing.get_context("spawn")
@@ -256,9 +227,7 @@ class WorkerPool:
                     target=_worker_main,
                     args=(
                         i,
-                        self._shm.name,
-                        state.skeleton,
-                        state.manifest,
+                        model_bytes,
                         self.config.engine,
                         self._request_q,
                         self._result_q,
@@ -334,8 +303,8 @@ class WorkerPool:
         Shards are cut at ``engine.max_batch_size`` boundaries — the
         same batch composition the single engine's ``predict_many``
         would use — so per-window results are bitwise-identical to one
-        engine in float64 mode (each batch's forward pass sees exactly
-        the same operands in the same order).
+        engine (each batch's forward pass sees exactly the same operands
+        in the same order).
         """
         self._ensure_open()
         if not windows:
@@ -471,7 +440,12 @@ class WorkerPool:
             return self._broken
 
     def stats(self) -> dict:
-        """Pool-level counters for monitoring."""
+        """Pool-level counters for monitoring.
+
+        ``arena_nbytes`` is the byte length of the pickled model each
+        worker receives; the key keeps its old name because the
+        benchmark reads it.
+        """
         with self._lock:
             pending = len(self._pending)
             requests = self._requests
@@ -484,8 +458,7 @@ class WorkerPool:
             "requests": requests,
             "errors": errors,
             "broken": broken,
-            "arena_nbytes": int(self.manifest["arena_nbytes"]),
-            "cast": self.manifest["cast"],
+            "arena_nbytes": self.model_nbytes,
         }
 
     @property
@@ -525,17 +498,9 @@ class WorkerPool:
                 proc.terminate()
         for proc in self._processes if hasattr(self, "_processes") else []:
             proc.join(timeout=5.0)
-        self._release_shm()
-
-    def _release_shm(self) -> None:
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except FileNotFoundError:
-            pass  # already unlinked (double close)
 
     def close(self) -> None:
-        """Stop workers, collect their snapshots, release shared memory.
+        """Stop workers, collect their snapshots, join the processes.
 
         Idempotent. In-flight futures that never got a result are
         failed rather than left pending.
@@ -570,7 +535,6 @@ class WorkerPool:
         for q in (self._request_q, self._result_q):
             q.cancel_join_thread()
             q.close()
-        self._release_shm()
 
     def __enter__(self) -> "WorkerPool":
         return self

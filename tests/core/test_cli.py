@@ -19,7 +19,7 @@ class TestParser:
         args = build_parser().parse_args(["bench", "table1"])
         assert args.experiment == "table1"
         assert args.profile is False
-        assert args.profile_output == "BENCH_PR1.json"
+        assert args.profile_output == "perf_profile.json"
 
     def test_bench_profile_flags(self):
         args = build_parser().parse_args(

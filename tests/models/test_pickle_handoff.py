@@ -1,13 +1,12 @@
-"""export_state/import_state: round-trip every registry model.
+"""The pool's model handoff: one pickle per worker, bitwise.
 
-The contract behind the serving worker pool: a fitted model, flattened
-to skeleton + weight arena and rebuilt over frombuffer views, must
-predict *identically* — bitwise, not approximately — because pool
-workers are supposed to be indistinguishable from the exporting
-process. The float32 cast is the documented exception: weights are
-rounded to float32 precision, so probabilities move by O(1e-7) and the
-test tolerance is 1e-4 (labels still agree on well-separated classes).
+``WorkerPool`` pickles the fitted model once and every worker unpickles
+its own copy, so a pickle round-trip must predict *identically* —
+bitwise, not approximately — for every registry model, including while
+an ``InferenceEngine`` is open on the model in the parent.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -23,17 +22,12 @@ from repro.models import (
     TrainerConfig,
     XGBoostBaseline,
     create_model,
-    export_state,
-    import_state,
 )
 from repro.models.deberta import DebertaRiskModel
+from repro.serve import EngineConfig, InferenceEngine, WorkerPool
+from repro.serve import pool as pool_module
 
 TINY = TrainerConfig(epochs=2, batch_size=8, patience=5)
-
-#: Documented tolerance of the float32 cast path: float64 weights are
-#: rounded to float32 (~1e-7 relative), which perturbs softmax
-#: probabilities well below 1e-4 for these model sizes.
-FLOAT32_PROB_TOL = 1e-4
 
 
 def _tiny_model(name):
@@ -55,6 +49,10 @@ def _tiny_model(name):
         return cls(config=config, trainer=TINY, pretrain_steps=3,
                    max_vocab=300)
     return create_model(name)
+
+
+def _round_trip(model):
+    return pickle.loads(pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 @pytest.fixture(scope="module")
@@ -80,55 +78,43 @@ class TestRoundTrip:
     def test_bitwise_identical_predictions(self, name, fitted, tiny_splits):
         _, _, test = tiny_splits
         model = fitted[name]
-        state = export_state(model)
-        clone = import_state(state.skeleton, state.manifest, state.arena)
+        clone = _round_trip(model)
         np.testing.assert_array_equal(
             clone.predict_proba(test), model.predict_proba(test)
         )
         np.testing.assert_array_equal(clone.predict(test), model.predict(test))
 
-    def test_arena_holds_the_weights(self, name, fitted):
-        state = export_state(fitted[name])
-        assert state.nbytes > 0
-        assert len(state.manifest["entries"]) > 0
-        assert state.manifest["model_class"] == type(fitted[name]).__name__
-
-    def test_float32_cast_delta_within_tolerance(
+    def test_bitwise_identical_with_engine_open(
         self, name, fitted, tiny_splits
     ):
         _, _, test = tiny_splits
         model = fitted[name]
-        full = export_state(model)
-        cast = export_state(model, cast_float32=True)
-        assert cast.nbytes < full.nbytes  # every model has float64 weight
-        clone = import_state(cast.skeleton, cast.manifest, cast.arena)
-        delta = np.abs(clone.predict_proba(test) - model.predict_proba(test))
-        assert float(delta.max()) < FLOAT32_PROB_TOL
-
-
-class TestContract:
-    def test_unfitted_model_rejected(self):
-        with pytest.raises(NotFittedError):
-            export_state(_tiny_model("logreg"))
-
-    def test_non_model_rejected(self):
-        with pytest.raises(ModelError):
-            export_state({"weights": np.ones(3)})
-
-    def test_wrong_version_rejected(self, fitted):
-        state = export_state(fitted["logreg"])
-        bad = dict(state.manifest, state_version=999)
-        with pytest.raises(ModelError):
-            import_state(state.skeleton, bad, state.arena)
-
-    def test_copy_mode_detaches_from_buffer(self, fitted, tiny_splits):
-        _, _, test = tiny_splits
-        model = fitted["logreg"]
-        state = export_state(model)
-        clone = import_state(
-            state.skeleton, state.manifest, state.arena, copy=True
-        )
-        state.arena[:] = 0  # scribble over the buffer
+        with InferenceEngine(model, EngineConfig(max_batch_size=4)) as engine:
+            single = engine.predict_many(test)  # fills the token cache
+            clone = _round_trip(model)
+            with InferenceEngine(clone, engine.config) as clone_engine:
+                np.testing.assert_array_equal(
+                    clone_engine.predict_many(test), single
+                )
         np.testing.assert_array_equal(
             clone.predict_proba(test), model.predict_proba(test)
         )
+
+
+class TestContract:
+    """``WorkerPool`` rejects a bad model before it starts any process."""
+
+    @pytest.fixture(autouse=True)
+    def no_processes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("WorkerPool started processes for a bad model")
+
+        monkeypatch.setattr(pool_module.multiprocessing, "get_context", refuse)
+
+    def test_unfitted_model_rejected(self):
+        with pytest.raises(NotFittedError):
+            WorkerPool(_tiny_model("logreg"))
+
+    def test_non_model_rejected(self):
+        with pytest.raises(ModelError):
+            WorkerPool({"weights": np.ones(3)})

@@ -1,5 +1,7 @@
 """Gradient checks and semantics tests for the autograd Tensor."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,3 +301,19 @@ class TestGraphSemantics:
         x = Tensor(data, requires_grad=True)
         x.sum().backward()
         assert np.allclose(x.grad, np.ones_like(data))
+
+
+class TestPickling:
+    def test_tensor_round_trips_as_leaf(self):
+        t = Tensor(np.ones((2, 3)), requires_grad=True, name="w")
+        clone = pickle.loads(pickle.dumps(t))
+        np.testing.assert_array_equal(clone.data, t.data)
+        assert clone.requires_grad and clone.name == "w"
+        assert clone.grad is None and clone._parents == ()
+
+    def test_graph_state_is_dropped_not_pickled(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = (a * 2.0).sum()  # has _backward closure + parents
+        clone = pickle.loads(pickle.dumps(b))
+        assert clone._backward is None
+        assert clone._parents == ()

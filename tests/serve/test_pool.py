@@ -5,14 +5,14 @@ helper model classes here must be importable by worker processes —
 they live at module top level for exactly that reason.
 """
 
+import pickle
 import time
 
 import numpy as np
 import pytest
 
-from repro.core.errors import ModelError
 from repro.core.schema import NUM_CLASSES
-from repro.models import create_model, export_state
+from repro.models import create_model
 from repro.models.base import RiskModel
 from repro.serve import (
     EngineConfig,
@@ -77,12 +77,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             PoolConfig(startup_timeout_s=0)
 
-    def test_exactly_one_model_source(self, fitted_logreg):
-        with pytest.raises(ModelError):
-            WorkerPool()
-        with pytest.raises(ModelError):
-            WorkerPool(fitted_logreg, state=export_state(fitted_logreg))
-
 
 class TestOutputIntegrity:
     def test_bitwise_identical_to_single_engine(
@@ -97,16 +91,6 @@ class TestOutputIntegrity:
             labels = pool.predict_labels(windows, timeout=60.0)
         np.testing.assert_array_equal(pooled, single)  # bitwise, float64
         np.testing.assert_array_equal(labels, single.argmax(axis=1))
-
-    def test_from_exported_state(self, fitted_logreg, small_splits):
-        windows = list(small_splits.test)[:4]
-        state = export_state(fitted_logreg)
-        config = PoolConfig(num_workers=1, engine=EngineConfig(max_batch_size=4))
-        with WorkerPool(state=state, config=config) as pool:
-            pooled = pool.predict_many(windows, timeout=60.0)
-        np.testing.assert_array_equal(
-            pooled, fitted_logreg.predict_proba(windows)
-        )
 
     def test_empty_input(self, fitted_logreg):
         config = PoolConfig(num_workers=1)
@@ -239,4 +223,7 @@ def test_pool_smoke_bench(fitted_logreg, small_splits):
     assert result.probs_bitwise_identical  # float64 mode
     assert result.pool_throughput > 0
     assert result.latency["count"] > 0
-    assert result.arena_nbytes > 0
+    # Each worker receives the model as one pickle of exactly this size.
+    model_bytes = pickle.dumps(fitted_logreg, protocol=pickle.HIGHEST_PROTOCOL)
+    assert result.model_nbytes == len(model_bytes)
+    assert result.pool_stats["arena_nbytes"] == len(model_bytes)
